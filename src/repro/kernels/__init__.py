@@ -55,9 +55,9 @@ from repro.kernels.threaded import (
     get_pool,
     resolve_threads,
     threaded_fold_lanes,
-    threaded_fused_lane_scan,
     threaded_lane_scan,
     threaded_scan_into,
+    usable_cpus,
 )
 
 __all__ = [
@@ -99,7 +99,7 @@ __all__ = [
     "resolve_threads",
     "scan_into",
     "threaded_fold_lanes",
-    "threaded_fused_lane_scan",
     "threaded_lane_scan",
     "threaded_scan_into",
+    "usable_cpus",
 ]

@@ -790,9 +790,9 @@ class LaneKernel:
         """Engine-delegation counter (always 0: this kernel is local)."""
         return 0
 
-    # Overridable scan/fold hooks: the threaded kernel subclasses these
-    # three (slab-parallel versions) while feed()'s carry state machine
-    # stays single-sourced here.
+    # Overridable scan/fold hooks: the threaded kernel subclasses them
+    # (slab-parallel versions) while feed()'s carry state machine stays
+    # single-sourced here.
 
     def _scan(self, chunk, carry_row=None):
         """In-place lane scan of ``chunk`` with an optional phase-order
@@ -816,12 +816,6 @@ class LaneKernel:
         """Fold the seen lanes of the running carry into ``out``."""
         fold_lanes(out, self.op, self.carry, self.pos, self.s, seen=self.active)
 
-    def _fused_scan(self, chunk, carry):
-        """In-place fused order-q scan with a phase-order ``(q, s)``
-        carry matrix (updated in place); the threaded subclass replaces
-        this with the slab-parallel version."""
-        return fused_lane_scan(chunk, self.op, self.s, self.order, carry)
-
     def _feed_order(self, chunk: np.ndarray) -> np.ndarray:
         """Order-q continuation feed: fused single-pass inside the gate,
         pass-per-order with one carry row per order outside it.  Both
@@ -831,7 +825,7 @@ class LaneKernel:
         if self._fused and chunk.flags.c_contiguous and chunk.ndim == 1:
             perm = phase_perm(self.pos, s)
             permuted = np.ascontiguousarray(self.carry[:, perm])
-            self._fused_scan(chunk, permuted)
+            fused_lane_scan(chunk, self.op, s, self.order, permuted)
             self.carry[:, perm] = permuted
             out = chunk
         else:

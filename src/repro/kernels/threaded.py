@@ -1,21 +1,31 @@
 """Threaded in-memory lane kernel: multicore intra-chunk scans.
 
-PR 5 left every engine scanning each chunk on one core.  This module
-applies the sharded driver's phase structure *in memory*: the
-``(m, s)`` lane-block matrix is split into ``P`` contiguous row-slabs,
-each slab is scanned locally by :func:`repro.kernels.lane_scan` on a
-persistent :class:`~concurrent.futures.ThreadPoolExecutor` worker, the
-tiny ``P × s`` matrix of slab totals is exclusive-scanned on the host
-(the carry splice), and the resulting carries are folded into the
-slabs in parallel.  This is the scan→splice→fold decomposition of
-LightScan (Liu & Aluru) and of Zhang, Wang & Ross's SIMD prefix sums:
-once the inner loop is a vectorized accumulate, multicore throughput
-comes from slab-parallelism plus a single splice.
+The ``(m, s)`` lane-block matrix is split into ``P`` contiguous
+row-slabs and scanned as **reduce → splice → scan** on a persistent
+:class:`~concurrent.futures.ThreadPoolExecutor`:
+
+1. *Reduce* (read-only): the per-lane totals of every slab but the
+   last, each slab halved so all ``P`` workers share the read.
+2. *Splice* (host): an exclusive scan of the tiny ``P × s`` totals
+   matrix gives each slab the carry row it owes.
+3. *Scan*: every slab is scanned carry-seeded from its own source rows
+   straight into its own rows of the output, cache block by cache
+   block, with the carry injected while the block is hot.
+
+Traffic per element: the reduce reads ``(P-1)/P`` of the input and the
+scan reads it once and writes it once — about ``3n`` words, the
+reduce-then-scan (MGPU) row of the paper's Figs 3–6 instead of the
+``4n`` scan-then-propagate design (a scan pass plus a read+write fold
+pass).  Zhang, Wang & Ross ("Parallel Prefix Sum with SIMD") describe
+the same cache-partitioned two-pass CPU scheme.  No pre-copy of the
+input and no fold pass: each worker first-touches only its own slab of
+a fresh output, so page-fault cost is split across cores too.  The
+in-place form (``out is src``, as stream chunk scans use it) stays
+exact because every reduce finishes before any slab is overwritten.
 
 Threads — not processes — give real parallelism here because numpy's
-ufunc inner loops release the GIL: slab scans and carry folds run
-concurrently with zero serialization or IPC cost, unlike
-:mod:`repro.parallel`'s shared-memory process pool.  Looped (non-ufunc)
+ufunc inner loops release the GIL: slab reduces and scans run
+concurrently with zero serialization or IPC cost.  Looped (non-ufunc)
 operators hold the GIL, so they always take the serial kernel.
 
 Determinism and exactness
@@ -28,14 +38,16 @@ integers the splice regroups a truly associative reduction and the
 result is **bit-identical** to the serial kernel.  For floats,
 regrouping changes rounding, so float inputs keep bit-exactness by
 default: :class:`ThreadedLaneKernel` with ``float_mode="exact"`` (the
-float default) scans through the serial prepend-carry kernel — a slab
-chain would be sequential in the carry anyway, so there is nothing to
-overlap.  ``float_mode="compensated"`` runs the error-free-carry
-segment decomposition of :mod:`repro.kernels.compensated` — fully
-parallel, bit-identical for *any* thread count, and more accurate than
-the naive fold.  ``float_mode="regrouped"`` (legacy ``exact=False``)
-opts into the fast regrouped fold (deterministic for a fixed thread
-count, but not bit-identical to serial).
+float default) scans through the serial prepend-carry kernel.
+``float_mode="compensated"`` runs the error-free-carry segment
+decomposition of :mod:`repro.kernels.compensated` — fully parallel,
+bit-identical for *any* thread count.  ``float_mode="regrouped"``
+(legacy ``exact=False``) opts into the regrouped slab splice
+(deterministic for a fixed thread count, not bit-identical to serial).
+
+Fused order-``q`` scans (:func:`repro.kernels.fused_lane_scan`) stay
+serial: their read-only ``(q, s)`` binomial reduce costs about as much
+as the fused scan itself, so reduce-then-scan cannot win at 2 threads.
 
 Cutover
 -------
@@ -59,15 +71,12 @@ import numpy as np
 from repro.kernels.compensated import resolve_float_mode
 from repro.kernels.lane import (
     LaneKernel,
-    _fused_block_bytes,
     exclusive_shift,
     fold_lanes,
-    fused_combine,
-    fused_lane_scan,
     fused_supported,
-    fused_weights,
     lane_scan,
     phase_perm,
+    scan_into,
 )
 from repro.ops import ADD, AssociativeOp, get_op
 
@@ -79,9 +88,34 @@ PARALLEL_CUTOVER_BYTES = 4 << 20
 #: slab — below it, another thread adds dispatch cost, not bandwidth.
 MIN_SLAB_BYTES = 1 << 20
 
+#: Cache block of the carry-seeded slab scan: each block is read from
+#: the source, written to the output and scanned while it is still in
+#: the core's L2.
+CARRY_BLOCK_BYTES = 1 << 20
+
+#: Row width (elements) of the lane reduce for ``s > 1``: an axis-0
+#: reduce over ``(m, s)`` walks ``s``-wide rows, so lanes are folded in
+#: rows this wide instead and the per-lane partials combined after.
+REDUCE_ROW_ELEMENTS = 2048
+
 _POOL: Optional[ThreadPoolExecutor] = None
 _POOL_WORKERS = 0
 _POOL_LOCK = threading.Lock()
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on.
+
+    The scheduler affinity mask where the platform has one (``taskset``,
+    cpusets and container CPU pinning all narrow it), else
+    ``os.cpu_count()``.  Every CPU-count decision in the package goes
+    through here, so a pinned process never plans threads it cannot
+    run.
+    """
+    try:
+        return max(1, len(os.sched_getaffinity(0)))
+    except (AttributeError, OSError):  # pragma: no cover - non-Linux
+        return os.cpu_count() or 1
 
 
 def get_pool(threads: int) -> ThreadPoolExecutor:
@@ -109,14 +143,14 @@ def get_pool(threads: int) -> ThreadPoolExecutor:
 def resolve_threads(threads=None, n_bytes: Optional[int] = None) -> int:
     """Resolve a ``threads=`` parameter to a concrete worker count.
 
-    ``None``/``0``/``"auto"`` means min(cpu count, slab-size heuristic):
+    ``None``/``0``/``"auto"`` means min(usable CPUs, slab-size heuristic):
     enough workers that each still gets :data:`MIN_SLAB_BYTES` of slab,
     never more than the machine has cores.  Explicit counts are taken
     as given (useful for tests and for the sharded driver's combined
     oversubscription budget).
     """
     if threads in (None, 0, "auto"):
-        cpus = os.cpu_count() or 1
+        cpus = usable_cpus()
         if n_bytes is None:
             return cpus
         return max(1, min(cpus, int(n_bytes) // MIN_SLAB_BYTES))
@@ -152,6 +186,74 @@ def _slab_bounds(m: int, parts: int):
     return bounds
 
 
+def _lane_reduce(rows: np.ndarray, op: AssociativeOp, s: int) -> np.ndarray:
+    """Per-phase totals (length ``s``) of ``rows``: a 1-D, C-contiguous
+    run of whole lane rows.  Read-only.
+
+    ``s == 1`` is a plain 1-D reduce (an axis-0 reduce over the
+    ``(m, 1)`` view is a slow path).  For ``s > 1`` a commutative
+    operator folds ``k`` rows at a time as one wide row, so the reduce
+    streams contiguous ``REDUCE_ROW_ELEMENTS``-wide rows instead of
+    ``s``-wide ones, then combines the ``k`` per-lane partials.
+    """
+    if s == 1:
+        return np.asarray(op.reduce(rows)).reshape(1)
+    m = rows.size // s
+    rows2 = rows.reshape(m, s)
+    k = max(1, REDUCE_ROW_ELEMENTS // s)
+    if not op.commutative or m < 2 * k:
+        return op.reduce(rows2, axis=0)
+    wide = (m // k) * k
+    partial = op.reduce(rows2[:wide].reshape(wide // k, k * s), axis=0)
+    total = op.reduce(partial.reshape(k, s), axis=0)
+    if wide < m:
+        total = op.apply(total, op.reduce(rows2[wide:], axis=0))
+    return total
+
+
+def _carry_scan(src, out, op: AssociativeOp, s: int, carry) -> None:
+    """Inclusive lane scan of whole rows ``src`` into ``out`` (same
+    length, both C-contiguous; may alias), continuing from the
+    phase-order ``carry`` row (``None`` = a fresh start).
+
+    One pass over memory, :data:`CARRY_BLOCK_BYTES` at a time, with the
+    running carry applied while the block is cached: at ``s == 1`` the
+    1-D accumulate reads ``src`` directly and the carry is folded in
+    after; for ``s > 1`` the block is copied over, the carry is
+    injected into its first row (``op(carry, x)``, the serial left
+    fold's own order) and the block is accumulated in place.  numpy
+    (2.4, measured) holds the GIL through an accumulate whose output
+    overlaps its input and through any axis-0 accumulate, so an in-place
+    scan stages each block through a cache-sized buffer: every step
+    that touches memory then runs unlocked, and the locked accumulate
+    only ever sees a cached block.
+    """
+    rows = src.size // s
+    if s == 1 and carry is None and out is not src:
+        op.accumulate(src, out=out)
+        return
+    step = max(1, CARRY_BLOCK_BYTES // (s * src.itemsize))
+    shape = (rows,) if s == 1 else (rows, s)
+    src2, out2 = src.reshape(shape), out.reshape(shape)
+    stage = np.empty_like(src2[:step]) if out is src else None
+    prev = carry
+    for i in range(0, rows, step):
+        blk = out2[i : i + step]
+        work = blk if stage is None else stage[: len(blk)]
+        if s == 1:
+            op.accumulate(src2[i : i + step], out=work)
+        else:
+            work[...] = src2[i : i + step]
+            if prev is not None:
+                op.apply_into(prev, work[:1], out=work[:1])
+            op.accumulate(work, axis=0, out=work)
+        if s == 1 and prev is not None:
+            op.apply_into(prev, work, out=blk)
+        elif work is not blk:
+            blk[...] = work
+        prev = blk[-1]
+
+
 def threaded_lane_scan(
     src: np.ndarray,
     op: AssociativeOp,
@@ -162,7 +264,7 @@ def threaded_lane_scan(
     threads=None,
     cutover_bytes: Optional[int] = None,
 ) -> np.ndarray:
-    """One inclusive lane scan pass, slab-parallel with a carry splice.
+    """One inclusive lane scan pass, slab-parallel reduce → splice → scan.
 
     Same contract as :func:`repro.kernels.lane_scan` (``out`` may alias
     ``src``; ``carry`` is a phase-order continuation row) plus
@@ -196,159 +298,49 @@ def threaded_lane_scan(
         or not (src.flags.c_contiguous and out.flags.c_contiguous)
     ):
         return lane_scan(src, op, s, out=out, carry=carry)
-    if out is not src:
-        # One streaming copy up front; slabs then scan in place (the
-        # same copy-then-in-place trick as the serial kernel).
-        out[...] = src
     bounds = _slab_bounds(m, threads)
-    if len(bounds) <= 1:
-        return lane_scan(out, op, s, out=out, carry=carry)
     pool = get_pool(threads)
+
+    # Reduce: lane totals of every slab but the last, each slab halved
+    # so the read is spread over all workers.  All of it completes
+    # before any slab is written, which keeps ``out is src`` exact.
+    pieces = []  # (lo, hi, ends a slab)
+    for lo, hi in bounds[:-1]:
+        mid = (lo + hi) // 2
+        if mid > lo:
+            pieces.append((lo, mid, False))
+        pieces.append((mid, hi, True))
+    totals = [
+        f.result()
+        for f in [
+            pool.submit(_lane_reduce, src[lo * s : hi * s], op, s)
+            for lo, hi, _ in pieces
+        ]
+    ]
+
+    # Splice: the exclusive scan of the totals is each slab's carry.
+    rows = [None if carry is None else np.asarray(carry)]
+    running = rows[0]
+    for (_, _, ends), total in zip(pieces, totals):
+        running = total if running is None else op.apply(running, total)
+        if ends:
+            rows.append(running)
+
+    # Scan: each worker writes only its own slab of the output.
+    futures = []
+    for (lo, hi), row in zip(bounds, rows):
+        slab = src[lo * s : hi * s]
+        dest = slab if out is src else out[lo * s : hi * s]
+        futures.append(pool.submit(_carry_scan, slab, dest, op, s, row))
+    for f in futures:
+        f.result()
+
     body = m * s
-    out2 = out[:body].reshape(m, s)
-
-    def _scan_slab(lo, hi):
-        blk = out[lo * s : hi * s]
-        lane_scan(blk, op, s, out=blk)
-
-    for f in [pool.submit(_scan_slab, lo, hi) for lo, hi in bounds]:
-        f.result()
-
-    # Host splice: exclusive scan of the P×s slab-total matrix.  Each
-    # slab's local total is its (already scanned) last full row; the
-    # running fold of those rows is the carry the next slab still owes.
-    carries = []
-    running = None if carry is None else np.asarray(carry)
-    for lo, hi in bounds:
-        carries.append(running)
-        total = out2[hi - 1]
-        running = total.copy() if running is None else op.apply(running, total)
-
-    def _fold_slab(lo, hi, row):
-        blk = out2[lo:hi]
-        op.apply_into(row, blk, out=blk)
-
-    for f in [
-        pool.submit(_fold_slab, lo, hi, row)
-        for (lo, hi), row in zip(bounds, carries)
-        if row is not None
-    ]:
-        f.result()
-
     r = n - body
     if r:
-        # Tail phases continue from the last full row (already spliced);
-        # out[body:] still holds the raw source values.
-        op.apply_into(out[body - s : body - s + r], out[body:], out=out[body:])
+        # Tail phases continue from the last full row.
+        op.apply_into(out[body - s : body - s + r], src[body:], out=out[body:])
     return out
-
-
-def _fused_fold_rows(out2, lo: int, hi: int, order: int, T, tile_rows: int):
-    """Fold an incoming ``(q, s)`` carry matrix into locally order-q
-    scanned rows ``out2[lo:hi]`` (local depth 0 at row ``lo``): row
-    ``d`` gains ``sum_j C(d + q - j, q - j) * T_j``, applied tile by
-    tile through the binomial weight columns."""
-    q = int(order)
-    dtype = out2.dtype
-    with np.errstate(over="ignore"):
-        for i in range(lo, hi, tile_rows):
-            blk = out2[i : min(i + tile_rows, hi)]
-            W = fused_weights(blk.shape[0], q, dtype, d0=i - lo)
-            for k in range(q):
-                blk += W[:, k : k + 1] * T[q - 1 - k]
-
-
-def threaded_fused_lane_scan(
-    buf: np.ndarray,
-    op: AssociativeOp,
-    tuple_size: int,
-    order: int,
-    carry: np.ndarray,
-    *,
-    threads=None,
-    cutover_bytes: Optional[int] = None,
-) -> np.ndarray:
-    """Slab-parallel fused single-pass order-``q`` scan (in place).
-
-    Same contract as :func:`repro.kernels.lane.fused_lane_scan`
-    (``carry`` is the phase-order ``(q, s)`` running-total matrix,
-    updated in place) with the threaded scan→splice→fold decomposition:
-    every slab fused-scans its rows locally from a zero carry, the host
-    splices the per-slab ``(q, s)`` aggregate matrices with one
-    :func:`fused_combine` chain, and slabs with a non-trivial incoming
-    matrix fold it in parallel via the binomial weight columns.  The
-    slab partition is the same pure function as the order-1 path, and
-    integer regrouping is exact, so results are bit-identical to the
-    serial fused kernel for any thread count.
-    """
-    s = int(tuple_size)
-    q = int(order)
-    n = buf.size
-    if n == 0:
-        return buf
-    n_bytes = n * buf.dtype.itemsize
-    threads = resolve_threads(threads, n_bytes)
-    if cutover_bytes is None:
-        cutover_bytes = _tuned_cutover(buf.dtype)
-    m = n // s
-    if (
-        threads <= 1
-        or m < 2
-        or n_bytes < cutover_bytes
-        or not buf.flags.c_contiguous
-    ):
-        return fused_lane_scan(buf, op, s, q, carry)
-    bounds = _slab_bounds(m, threads)
-    if len(bounds) <= 1:
-        return fused_lane_scan(buf, op, s, q, carry)
-    pool = get_pool(threads)
-    body = m * s
-    out2 = buf[:body].reshape(m, s)
-    dtype = buf.dtype
-    locals_ = [None] * len(bounds)
-
-    def _scan_slab(i, lo, hi):
-        local = np.zeros((q, s), dtype=dtype)
-        fused_lane_scan(buf[lo * s : hi * s], op, s, q, local)
-        locals_[i] = local
-
-    for f in [
-        pool.submit(_scan_slab, i, lo, hi)
-        for i, (lo, hi) in enumerate(bounds)
-    ]:
-        f.result()
-
-    # Host splice: chain the (q, s) slab aggregates; incoming[i] is the
-    # absolute order-total matrix slab i still owes.
-    incoming = []
-    running = carry.copy()
-    for (lo, hi), local in zip(bounds, locals_):
-        incoming.append(running)
-        running = fused_combine(running, local, hi - lo)
-    carry[...] = running
-
-    tile_rows = max(q, _fused_block_bytes() // (s * dtype.itemsize))
-
-    def _fold_slab(lo, hi, T):
-        _fused_fold_rows(out2, lo, hi, q, T, tile_rows)
-
-    for f in [
-        pool.submit(_fold_slab, lo, hi, T)
-        for (lo, hi), T in zip(bounds, incoming)
-        if T.any()
-    ]:
-        f.result()
-
-    r = n - body
-    if r:
-        # Tail: one-row partial tile continuing from the spliced matrix.
-        tail = buf[body:]
-        raw = tail.copy()
-        with np.errstate(over="ignore"):
-            part = np.add.accumulate(carry[:, :r], axis=0)
-            tail[...] = raw + part[q - 1]
-            carry[:, :r] = raw + part
-    return buf
 
 
 def threaded_fold_lanes(
@@ -426,15 +418,12 @@ def threaded_scan_into(
     segment-parallel error-free passes (bit-identical for any thread
     count, more accurate than the naive fold); ``"regrouped"``
     (``exact=False``) lets floats regroup through the slab splice.
-    Integers always get the full slab parallelism.
+    Integers get slab-parallel passes, except inside the fused order-q
+    gate, whose single pass runs serially.
     """
     op = get_op(op)
     src = np.asarray(src)
     mode = resolve_float_mode(src.dtype, float_mode, exact)
-    if mode == "exact":
-        from repro.kernels.lane import scan_into
-
-        return scan_into(src, out, op, order, tuple_size, inclusive)
     if mode == "compensated":
         from repro.kernels.compensated import compensated_scan_into
 
@@ -442,33 +431,22 @@ def threaded_scan_into(
             src, out, op, order, tuple_size, inclusive,
             threads=threads, cutover_bytes=cutover_bytes,
         )
-    q = int(order)
     s = int(tuple_size)
-    if (
-        q >= 2
-        and fused_supported(op, out.dtype, q, s)
-        and out.ndim == 1
-        and out.flags.c_contiguous
-    ):
-        if out is not src:
-            out[...] = src
-        carry = np.zeros((q, s), dtype=out.dtype)
-        threaded_fused_lane_scan(
-            out, op, s, q, carry,
-            threads=threads, cutover_bytes=cutover_bytes,
+    if mode == "exact" or fused_supported(op, out.dtype, order, s):
+        # Exact floats need the serial left fold, and the fused single
+        # pass stays serial (see the module notes).
+        return scan_into(src, out, op, order, s, inclusive)
+    current = src
+    for _ in range(int(order)):
+        threaded_lane_scan(
+            current,
+            op,
+            tuple_size,
+            out=out,
+            threads=threads,
+            cutover_bytes=cutover_bytes,
         )
-    else:
-        current = src
-        for _ in range(q):
-            threaded_lane_scan(
-                current,
-                op,
-                tuple_size,
-                out=out,
-                threads=threads,
-                cutover_bytes=cutover_bytes,
-            )
-            current = out
+        current = out
     if inclusive:
         return out
     heads = np.full(s, op.identity(out.dtype), dtype=out.dtype)
@@ -479,7 +457,8 @@ class ThreadedLaneKernel(LaneKernel):
     """:class:`~repro.kernels.LaneKernel` with slab-parallel hot paths.
 
     Same carry-continuation ``feed(chunk)`` contract and state machine
-    (inherited — only the three scan/fold hooks are overridden), plus:
+    (inherited — only the scan/fold hooks are overridden; fused order-q
+    feeds keep the serial single pass), plus:
 
     ``threads``
         Worker count for the slab partition; ``None``/``"auto"``
@@ -496,7 +475,7 @@ class ThreadedLaneKernel(LaneKernel):
     ``float_mode="compensated"`` runs the segment-parallel error-free
     path (bit-identical for any thread count);
     ``float_mode="regrouped"`` / ``exact=False`` opts into the threaded
-    regrouped fold.
+    regrouped splice.
     """
 
     def __init__(
@@ -556,17 +535,6 @@ class ThreadedLaneKernel(LaneKernel):
             self.pos,
             self.s,
             seen=self.active,
-            threads=self.threads,
-            cutover_bytes=self.cutover_bytes,
-        )
-
-    def _fused_scan(self, chunk, carry):
-        return threaded_fused_lane_scan(
-            chunk,
-            self.op,
-            self.s,
-            self.order,
-            carry,
             threads=self.threads,
             cutover_bytes=self.cutover_bytes,
         )

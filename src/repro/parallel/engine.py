@@ -38,7 +38,6 @@ Production shape:
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as _wait_connections
@@ -47,6 +46,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core.host import host_prefix_sum
+from repro.kernels import usable_cpus
 from repro.ops import ADD, BUILTIN_OPS, get_op
 from repro.parallel.counters import ParallelCounters, WorkerCounters
 from repro.parallel.errors import (
@@ -104,9 +104,10 @@ class ParallelSamScan:
     Parameters
     ----------
     num_workers:
-        Worker processes to use (default: ``os.cpu_count()``).  The
-        effective count is capped by the chunk count; oversubscribed
-        launches (more workers than chunks) leave the excess idle.
+        Worker processes to use (default:
+        :func:`repro.kernels.usable_cpus`).  The effective count is
+        capped by the chunk count; oversubscribed launches (more workers
+        than chunks) leave the excess idle.
     chunk_elements:
         Elements per chunk; ``None`` targets a few chunks per worker
         with a floor that keeps per-chunk numpy work vectorized.
@@ -162,7 +163,7 @@ class ParallelSamScan:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
         if chunk_elements is not None and chunk_elements < 1:
             raise ValueError(f"chunk_elements must be >= 1, got {chunk_elements}")
-        self.num_workers = num_workers or (os.cpu_count() or 1)
+        self.num_workers = num_workers or usable_cpus()
         self.chunk_elements = chunk_elements
         self.carry_scheme = carry_scheme
         self.min_parallel_elements = min_parallel_elements

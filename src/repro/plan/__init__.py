@@ -37,7 +37,6 @@ from repro.plan.planner import (
     explain_scan,
     plan_file_scan,
     plan_scan,
-    session_threads,
 )
 from repro.plan.workload import Machine, Workload, machine_snapshot
 
@@ -58,5 +57,4 @@ __all__ = [
     "machine_snapshot",
     "plan_file_scan",
     "plan_scan",
-    "session_threads",
 ]

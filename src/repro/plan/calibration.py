@@ -12,6 +12,12 @@ therefore converge on measured numbers, exactly like the install-time
 tuner the paper adopts from StreamScan, but continuously instead of
 once.
 
+A bucket overrides the model only once it holds
+:data:`MIN_TRUSTED_SAMPLES` observations, and its EWMA starts from
+their median.  Only the chosen strategy is ever observed, so a bucket
+trusted after one sample would let a single cold first run (pool
+start-up, first-touch page faults) exclude a candidate for good.
+
 Robustness contract (tested):
 
 * a *missing* store is a cache miss, not an error — the analytic model
@@ -39,6 +45,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import statistics
 import threading
 from typing import Dict, Optional
 
@@ -51,6 +58,10 @@ EWMA_ALPHA = 0.3
 #: I/O per scan (the write is milliseconds — measurable against small
 #: jobs), while new buckets and real drift still persist immediately.
 PERSIST_REL_DELTA = 0.02
+
+#: Observations a bucket needs before the planner trusts it over the
+#: model; its EWMA is seeded with their median.
+MIN_TRUSTED_SAMPLES = 3
 
 _STORE_VERSION = 1
 
@@ -112,10 +123,20 @@ def _parse_entries(data) -> Dict[str, dict]:
         if isinstance(raw, dict):
             for key, entry in raw.items():
                 try:
-                    entries[str(key)] = {
+                    parsed = {
                         "bytes_per_second": float(entry["bytes_per_second"]),
                         "samples": int(entry["samples"]),
                     }
+                    # Stores older than the trust threshold lack the
+                    # untrusted buckets' first observations: their EWMA
+                    # stands in for them.
+                    if parsed["samples"] < MIN_TRUSTED_SAMPLES:
+                        first = entry.get(
+                            "first",
+                            [parsed["bytes_per_second"]] * parsed["samples"],
+                        )
+                        parsed["first"] = [float(v) for v in first]
+                    entries[str(key)] = parsed
                 except (KeyError, TypeError, ValueError):
                     continue  # one bad row never poisons the rest
     return entries
@@ -185,12 +206,17 @@ class CalibrationStore:
 
     def throughput(self, key: str) -> Optional[float]:
         """Measured bytes/second for a calibration key, or ``None``
-        (cache miss, or calibration disabled)."""
+        (cache miss, fewer than :data:`MIN_TRUSTED_SAMPLES`
+        observations, or calibration disabled)."""
         if _disabled():
             return None
         with self._lock:
             entry = self._load().get(key)
-        if entry is None or entry["bytes_per_second"] <= 0:
+        if (
+            entry is None
+            or entry["samples"] < MIN_TRUSTED_SAMPLES
+            or entry["bytes_per_second"] <= 0
+        ):
             return None
         return entry["bytes_per_second"]
 
@@ -211,11 +237,19 @@ class CalibrationStore:
         with self._lock:
             entries = self._load()
             entry = entries.get(key)
-            if entry is None:
-                entries[key] = {
-                    "bytes_per_second": float(bytes_per_second),
-                    "samples": 1,
+            if entry is None or entry["samples"] < MIN_TRUSTED_SAMPLES:
+                # Untrusted bucket: keep the raw observations; the
+                # median of the first MIN_TRUSTED_SAMPLES seeds the EWMA.
+                first = ([] if entry is None else entry["first"]) + [
+                    float(bytes_per_second)
+                ]
+                entry = {
+                    "bytes_per_second": statistics.median(first),
+                    "samples": len(first),
                 }
+                if len(first) < MIN_TRUSTED_SAMPLES:
+                    entry["first"] = first
+                entries[key] = entry
                 self._persist()
             else:
                 old = entry["bytes_per_second"]

@@ -13,8 +13,9 @@ with two sources for the throughput term, in priority order:
    :mod:`repro.perf.model`: a per-pass memory term that scales with
    ``order`` (iterated host passes re-touch the buffer, exactly the
    paper's 2qn argument against iterated scans), a parallel-efficiency
-   factor for slab/shard strategies, an extra carry-fold traffic term
-   (the fold pass re-touches ``(P-1)/P`` of the buffer), and the
+   factor for slab/shard strategies, each strategy's extra traffic
+   (the threaded reduce reads ``(P-1)/P`` of the buffer; a sharded
+   fold pass re-touches ``(P-1)/P`` of it), and the
    occupancy ramp :func:`repro.perf.ramp` with the *tuned parallel
    cutover* as the half-rate point — the empirically measured size at
    which dispatch overhead equals scan time on this machine.
@@ -34,10 +35,14 @@ from repro.plan.calibration import CalibrationStore
 from repro.plan.workload import Machine, Workload
 
 #: Conservative cold-cache throughput guesses (bytes/second).  The
-#: in-memory number is a low-end single-core accumulate rate; the file
-#: number folds read + scan + write over a buffered disk.  Both are
-#: corrected by the first real observation.
-DEFAULT_MEMORY_BYTES_PER_SECOND = 2e9
+#: in-memory number is a low-end single-core rate for a large scan into
+#: a fresh output, first-touch page faults included (the serial host
+#: path measures 1.0–1.8 GB/s at 440 MB on a 2-CPU Xeon runner); the
+#: file number folds read + scan + write over a buffered disk.  Both
+#: are replaced by measurement once a bucket is trusted.  An optimistic
+#: guess here would outbid a measured parallel candidate on its first
+#: noisy dip and make the planner leave it.
+DEFAULT_MEMORY_BYTES_PER_SECOND = 1e9
 DEFAULT_FILE_BYTES_PER_SECOND = 6e8
 
 #: Varint+zigzag block decode rate, in *logical* bytes per second — a
@@ -66,6 +71,11 @@ PARALLEL_EFFICIENCY = 0.7
 #: The process pool additionally copies chunks into and out of shared
 #: memory: ~3x the traffic of the in-place threaded kernel.
 PROCESS_TRAFFIC_FACTOR = 3.0
+
+#: Words moved by the compensated slab path relative to the serial
+#: kernel's ``2n``: pass 1 reads the input and writes values and errors
+#: (``3n``), and the render pass reads both and writes values (``3n``).
+COMPENSATED_SLAB_TRAFFIC = 3.0
 
 #: Sharded jobs pay a splice pass plus manifest bookkeeping per shard.
 T_SHARD_SECONDS = 2e-3
@@ -196,7 +206,14 @@ def price_threaded(
     threads: int,
 ) -> Candidate:
     """Slab-parallel in-memory kernel (or threaded chunk scans for a
-    file job): scan -> splice -> fold on ``threads`` workers."""
+    file job): reduce -> splice -> scan on ``threads`` slabs.
+
+    Per pass, the read-only reduce reads ``(P-1)/P·n`` words (every
+    slab but the last) and the carry-seeded scan reads ``n`` and writes
+    ``n`` — ``(3P-1)/P·n`` against the serial kernel's ``2n``.  The
+    compensated slab path moves :data:`COMPENSATED_SLAB_TRAFFIC` times
+    the serial kernel's words instead.
+    """
     name = "threaded" if workload.source == "memory" else "stream_threaded"
     params = {"threads": threads}
     if workload.on_disk:
@@ -204,9 +221,14 @@ def price_threaded(
     candidate = Candidate(name, params=params)
     effective = max(1, min(threads, machine.cpu_count))
     scale = 1.0 + (effective - 1) * PARALLEL_EFFICIENCY
-    fold_traffic = 1.0 + (effective - 1) / effective  # fold re-touches P-1 slabs
+    if workload.compensable:
+        traffic = COMPENSATED_SLAB_TRAFFIC
+        passes = "segment pass + chain + render"
+    else:
+        traffic = 1.0 + (threads - 1) / (2.0 * threads)
+        passes = "reduce + splice + scan per pass"
     modeled = _anchored_base(workload, store) * scale / (
-        workload.scan_passes * fold_traffic
+        workload.scan_passes * traffic
     )
     rate = _throughput(candidate, workload, store, modeled)
     fixed = (
@@ -216,7 +238,7 @@ def price_threaded(
     )
     occupancy = ramp(workload.nbytes, machine.parallel_cutover_bytes, 1.0)
     candidate.predicted_seconds = fixed + workload.nbytes / rate * occupancy
-    candidate.note = f"{effective} effective core(s), splice + fold per pass"
+    candidate.note = f"{effective} effective core(s), {passes}"
     return candidate
 
 

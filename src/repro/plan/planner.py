@@ -19,7 +19,8 @@ In memory (``repro.scan(x)`` / ``repro.prefix_sum(x)``):
   non-contiguous buffers, or anything below :data:`TINY_BYTES` (tiny
   inputs never pay planning overhead, let alone dispatch overhead).
 * ``threaded:T`` — the slab-parallel kernel, for integer ufunc scans
-  on a multicore machine, over a small ladder of thread counts.
+  on a multicore machine, over a small ladder of thread counts (not
+  for fused order-``q`` workloads, whose single pass stays serial).
 * ``parallel:W`` — the shared-memory process pool, only proposed at
   sizes where its warmup and copy traffic could possibly amortize.
 
@@ -27,7 +28,7 @@ On files (``repro.scan_file``):
 
 * ``stream`` — the single-session out-of-core driver.
 * ``stream_threaded:T`` — the same driver with slab-parallel chunk
-  scans.
+  scans (again not for fused workloads).
 * ``sharded:S`` — the sharded driver with a shard count and worker
   count sized to the machine.
 
@@ -55,6 +56,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.kernels import usable_cpus
 from repro.plan.calibration import CalibrationStore, get_store
 from repro.plan.cost import (
     Candidate,
@@ -247,7 +249,9 @@ def _enumerate(
     _mark_compensated(workload, candidates[0])
     if workload.source == "memory":
         if _parallel_safe(workload) and machine.multicore:
-            for threads in _thread_ladder(machine.cpu_count):
+            # The fused single pass has no slab-threaded form.
+            ladder = [] if workload.fused else _thread_ladder(machine.cpu_count)
+            for threads in ladder:
                 candidate = price_threaded(workload, machine, store, threads)
                 _mark_compensated(workload, candidate)
                 candidates.append(candidate)
@@ -259,7 +263,11 @@ def _enumerate(
                 )
     else:
         if _parallel_safe(workload):
-            if machine.multicore and workload.source != "compressed-file":
+            if (
+                machine.multicore
+                and workload.source != "compressed-file"
+                and not workload.fused
+            ):
                 # Slab threads parallelize the *scan* of raw chunks; a
                 # compressed job's chunk time is dominated by the serial
                 # block decode, which threads do not help — its parallel
@@ -404,7 +412,7 @@ def plan_scan(
     if workload.nbytes <= TINY_BYTES and force is None:
         PLANNER_COUNTERS.tiny_shortcuts += 1
         machine = machine or Machine(
-            cpu_count=os.cpu_count() or 1,
+            cpu_count=usable_cpus(),
             block_bytes=0,
             parallel_cutover_bytes=0,
             tuning_source="skipped",
@@ -419,7 +427,7 @@ def plan_scan(
         return plan
     if _plan_disabled() and force is None:
         machine = machine or Machine(
-            cpu_count=os.cpu_count() or 1,
+            cpu_count=usable_cpus(),
             block_bytes=0,
             parallel_cutover_bytes=0,
             tuning_source="disabled",
@@ -671,36 +679,3 @@ def plan_file_scan(
         )
     return plan_scan(workload)
 
-
-def session_threads(dtype, op="add", float_mode: Optional[str] = None) -> Optional[str]:
-    """Planned ``threads=`` for a streaming/served session whose chunk
-    sizes are unknown up front: ``"auto"`` on a multicore machine with
-    a parallel-safe configuration (the threaded kernel's own tuned
-    cutover then decides per chunk), ``None`` where slab threads could
-    only add dispatch overhead."""
-    if _plan_disabled():
-        return None
-    if (os.cpu_count() or 1) <= 1:
-        # Cheap early-out: never touch the (possibly measuring) tuner
-        # from a serve OPEN when threads could not help anyway.
-        return None
-    try:
-        from repro.ops import get_op
-
-        resolved = get_op(op)
-        if np.dtype(dtype).kind in "iu":
-            if resolved.ufunc is None:
-                return None
-        elif float_mode == "compensated":
-            # Compensated float sessions parallelize their segment
-            # pass-1 the same way integer slabs do.
-            from repro.kernels import compensated_supported
-
-            if not compensated_supported(resolved.name, dtype):
-                return None
-        else:
-            return None
-    except Exception:
-        return None
-    machine = machine_snapshot(dtype)
-    return "auto" if machine.multicore else None

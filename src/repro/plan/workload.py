@@ -30,6 +30,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from repro.kernels import usable_cpus
 from repro.ops import get_op
 
 #: Workload sources the cost model distinguishes.
@@ -198,29 +199,33 @@ class Workload:
         return compensated_supported(self.op, self.dtype)
 
     @property
-    def scan_passes(self) -> int:
-        """Memory passes the host kernels make over the payload.
-
-        ``1`` inside the fused order-``q`` gate
+    def fused(self) -> bool:
+        """Whether the host kernels run this workload as the fused
+        single-pass order-``q`` tile scan
         (:func:`repro.kernels.fused_supported`: integer ADD at
-        ``order >= 2`` with ``tuple_size >= 2`` — the single-pass
-        tile-resident path), ``order`` otherwise (iterated
-        pass-per-order scans, the paper's ``2qn`` traffic).  The cost
-        model divides by this instead of ``order`` wherever a term
-        counts passes, so an order-3 integer scan is priced at its
-        actual single-pass traffic.
-        """
+        ``order >= 2`` with ``tuple_size >= 2``).  The fused pass has
+        no slab-threaded form, so fused workloads get no threaded
+        candidates."""
         if self.order == 1:
-            return 1
+            return False
         try:
             op = get_op(self.op)
         except (KeyError, TypeError):
-            return self.order
+            return False
         from repro.kernels import fused_supported
 
-        if fused_supported(op, self.dtype, self.order, self.tuple_size):
-            return 1
-        return self.order
+        return fused_supported(op, self.dtype, self.order, self.tuple_size)
+
+    @property
+    def scan_passes(self) -> int:
+        """Memory passes the host kernels make over the payload: ``1``
+        for order 1 and inside the fused gate, ``order`` otherwise
+        (iterated pass-per-order scans, the paper's ``2qn`` traffic).
+        The cost model divides by this instead of ``order`` wherever a
+        term counts passes, so an order-3 integer scan is priced at its
+        actual single-pass traffic.
+        """
+        return 1 if self.order == 1 or self.fused else self.order
 
     @property
     def vectorized(self) -> bool:
@@ -283,7 +288,7 @@ def machine_snapshot(dtype, *, refresh: bool = False) -> Machine:
     key = np.dtype(dtype).name
     if not refresh and key in _MACHINE_MEMO:
         return _MACHINE_MEMO[key]
-    cpu = os.cpu_count() or 1
+    cpu = usable_cpus()
     try:
         from repro.core.tuning import kernel_tuning
 

@@ -236,20 +236,6 @@ class ScanServer:
             return
         async with self._lock:
             if verb == protocol.OPEN:
-                threads = header.get("threads")
-                planned_threads = threads is None
-                if planned_threads:
-                    # No pin from the client: ask the planner whether this
-                    # host/dtype/op combination profits from slab threads
-                    # (threads= is excluded from the session config hash,
-                    # so the answer cannot conflict an OPEN or a restore).
-                    from repro.plan import session_threads
-
-                    threads = session_threads(
-                        header.get("dtype", "int64"),
-                        header.get("op", "add"),
-                        float_mode=header.get("float_mode"),
-                    )
                 session, created = self.registry.open(
                     header.get("session"),
                     op=header.get("op", "add"),
@@ -257,11 +243,9 @@ class ScanServer:
                     tuple_size=header.get("tuple_size", 1),
                     inclusive=header.get("inclusive", True),
                     dtype=header.get("dtype", "int64"),
-                    threads=threads,
+                    threads=header.get("threads"),
                     float_mode=header.get("float_mode"),
                 )
-                if created and planned_threads and threads is not None:
-                    session.counters.planner_strategy = f"session_threads:{threads}"
                 reply = {
                     "id": request_id,
                     "created": created,

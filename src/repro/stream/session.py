@@ -110,7 +110,8 @@ class ScanSession:
         slab-parallel in-memory kernel
         (:func:`repro.kernels.threaded_lane_scan`) — bit-identical for
         integers; exact-mode float chunks keep the serial prepend path
-        regardless (compensated-mode chunks *do* thread).  Not part of
+        and fused order-q feeds the serial single pass regardless
+        (compensated-mode chunks *do* thread).  Not part of
         :meth:`config`: like the engine, the thread count never changes
         results, so checkpoints stay portable across it.
     float_mode:
@@ -373,18 +374,7 @@ class ScanSession:
         out = array.copy()
         perm = kernels.phase_perm(pos, s)
         carry = np.ascontiguousarray(self._carry[:, perm])
-        if self.threads is None:
-            kernels.fused_lane_scan(out, self.op, s, q, carry)
-        else:
-            self.counters.threaded_scans += 1
-            kernels.threaded_fused_lane_scan(
-                out,
-                self.op,
-                s,
-                q,
-                carry,
-                threads=None if self.threads in ("auto", 0) else self.threads,
-            )
+        kernels.fused_lane_scan(out, self.op, s, q, carry)
         self._carry[:, perm] = carry
         self.counters.fused_order_scans += 1
         if self.inclusive:

@@ -71,7 +71,12 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro import kernels
-from repro.kernels import LaneKernel, ThreadedLaneKernel, resolve_threads
+from repro.kernels import (
+    LaneKernel,
+    ThreadedLaneKernel,
+    resolve_threads,
+    usable_cpus,
+)
 from repro.ops import get_op
 from repro.stream.checkpoint import (
     build_shard_manifest,
@@ -589,10 +594,13 @@ class _ShardedJob:
     def try_prime(self, shard_index: int) -> Optional[np.ndarray]:
         """Phase-1.5 shortcut: the absolute carry for ``shard_index`` in
         the current pass, if every predecessor already finished it."""
-        if self.float_mode == "compensated":
+        if self.float_mode == "compensated" or self.dtype.kind == "f":
             # Priming skips the fold, but the compensated fold is the
             # *render* — it must run regardless, so a primed scan would
             # save nothing (the naive pass never folds carries in).
+            # Regrouped floats round a carry chained through the chunks
+            # differently from one folded in at the end, and whether a
+            # shard is primed depends on which shards finished first.
             return None
         with self.lock:
             if not all(self.done[:shard_index]):
@@ -1175,7 +1183,7 @@ def scan_file_sharded(
     )
 
     if shards is None:
-        shards = os.cpu_count() or 1
+        shards = usable_cpus()
     if mode == "compensated" and total_elements:
         # The compensated contract fixes segment boundaries as a pure
         # function of the global index; shard bounds snap to that grid
@@ -1196,7 +1204,7 @@ def scan_file_sharded(
     else:
         plan = plan_shards(total_elements, shards)
     if workers is None:
-        workers = min(len(plan), os.cpu_count() or 1)
+        workers = min(len(plan), usable_cpus())
     # Combined-oversubscription guard: the caller's thread budget is for
     # the whole job, so each of the ``workers`` concurrent shard tasks
     # gets an equal slice of it for its intra-chunk slab threads.

@@ -6,8 +6,8 @@ slab splice, floats via delegation to the exact serial passes — plus
 determinism: the slab partition is a pure function of the requested
 thread count, so results never depend on pool scheduling, core count,
 or oversubscription.  These tests force the parallel path with
-``cutover_bytes=0`` so small grids exercise the splice/fold machinery
-rather than the serial fallback.
+``cutover_bytes=0`` so small grids exercise the reduce/splice/scan
+machinery rather than the serial fallback.
 """
 
 import numpy as np
@@ -130,6 +130,72 @@ def test_oversubscription_determinism():
     for _ in range(3):
         got = threaded_lane_scan(values, op, 3, threads=8, cutover_bytes=0)
         _assert_bitwise(got, want)
+
+
+# -- reduce -> splice -> scan ---------------------------------------------
+
+
+def _full_range(rng, n, dtype):
+    info = np.iinfo(dtype)
+    return rng.integers(info.min, info.max, n, dtype=dtype, endpoint=True)
+
+
+@pytest.mark.parametrize("geometry", ["default", "tiny-blocks"])
+@pytest.mark.parametrize("opname", ["add", "max", "min", "xor"])
+@pytest.mark.parametrize("dtype", ["int8", "int32", "int64", "uint64"])
+def test_reduce_then_scan_bit_identical(monkeypatch, geometry, opname, dtype):
+    """Slab counts 2-8, s in {1, 2, 3, 4, 8}, in place and out of place,
+    with and without an incoming carry row, runt tails (n % s != 0),
+    and full-range values so every op wraps around."""
+    from repro.kernels import threaded
+
+    if geometry == "tiny-blocks":
+        # Many carry blocks per slab and the wide lane reduce at small n.
+        monkeypatch.setattr(threaded, "CARRY_BLOCK_BYTES", 64)
+        monkeypatch.setattr(threaded, "REDUCE_ROW_ELEMENTS", 8)
+    op = get_op(opname)
+    rng = np.random.default_rng(hash((geometry, opname, dtype)) % 2**32)
+    for s in (1, 2, 3, 4, 8):
+        for threads in (2, 3, 5, 8):
+            for n in (2 * s, 97 * s + s // 2, 4099):
+                values = _full_range(rng, n, dtype)
+                for carry in (None, _full_range(rng, s, dtype)):
+                    want = kernels.lane_scan(values, op, s, carry=carry)
+                    msg = f"s={s} threads={threads} n={n} carry={carry}"
+                    got = threaded_lane_scan(
+                        values, op, s, carry=carry, threads=threads,
+                        cutover_bytes=0,
+                    )
+                    _assert_bitwise(got, want, msg)
+                    buf = values.copy()
+                    got = threaded_lane_scan(
+                        buf, op, s, out=buf, carry=carry, threads=threads,
+                        cutover_bytes=0,
+                    )
+                    assert got is buf
+                    _assert_bitwise(got, want, "in place " + msg)
+
+
+@pytest.mark.parametrize("tuple_size", [1, 4])
+def test_out_of_place_scan_allocates_no_scratch(tuple_size):
+    """No pre-copy and no fold buffer: the reduce and the carry-seeded
+    scan work in place in the caller's output."""
+    import tracemalloc
+
+    op = get_op("add")
+    values = np.arange(1 << 20, dtype=np.int64)
+    out = np.empty_like(values)
+    threaded_lane_scan(values, op, tuple_size, out=out, threads=2,
+                       cutover_bytes=0)  # warm the pool outside the trace
+    tracemalloc.start()
+    try:
+        threaded_lane_scan(values, op, tuple_size, out=out, threads=2,
+                           cutover_bytes=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < values.nbytes // 16
+    _assert_bitwise(out, kernels.lane_scan(values, op, tuple_size))
 
 
 # -- slab partition and thread resolution --------------------------------

@@ -29,9 +29,8 @@ from repro.plan import (
     machine_snapshot,
     plan_file_scan,
     plan_scan,
-    session_threads,
 )
-from repro.plan.calibration import _reset_store_memo
+from repro.plan.calibration import MIN_TRUSTED_SAMPLES, _reset_store_memo
 from repro.plan.workload import _reset_machine_memo
 from repro.reference import prefix_sum_serial
 from repro.stream.counters import StreamCounters
@@ -126,7 +125,8 @@ class TestCalibrationStore:
             store = CalibrationStore(str(path))
             assert store.throughput("k") is None
             # ... and observing over the corpse works (overwrites it).
-            assert store.observe("k", 1e9)
+            for _ in range(MIN_TRUSTED_SAMPLES):
+                assert store.observe("k", 1e9)
             assert store.throughput("k") == pytest.approx(1e9)
 
     def test_ewma_feedback_converges(self, tmp_path):
@@ -139,7 +139,8 @@ class TestCalibrationStore:
 
     def test_persisted_across_instances(self, tmp_path):
         path = str(tmp_path / "c.json")
-        CalibrationStore(path).observe("key", 2e9)
+        for _ in range(MIN_TRUSTED_SAMPLES):
+            CalibrationStore(path).observe("key", 2e9)
         assert CalibrationStore(path).throughput("key") == pytest.approx(2e9)
 
     def test_converged_buckets_skip_the_disk_write(self, tmp_path):
@@ -162,8 +163,56 @@ class TestCalibrationStore:
         blocker = tmp_path / "blocker"
         blocker.write_text("not a directory")
         store = CalibrationStore(str(blocker / "sub" / "calibration.json"))
-        assert store.observe("key", 1e9)  # persist fails silently
+        for _ in range(MIN_TRUSTED_SAMPLES):
+            assert store.observe("key", 1e9)  # persist fails silently
         assert store.throughput("key") == pytest.approx(1e9)
+
+    def test_one_cold_sample_does_not_exclude_a_candidate(self, tmp_path):
+        # A cold first run (pool start-up, first-touch page faults) is
+        # not trusted on its own; the bucket's EWMA starts from the
+        # median of the first MIN_TRUSTED_SAMPLES observations.
+        store = CalibrationStore(str(tmp_path / "c.json"))
+        store.observe("key", 1e8)
+        assert store.throughput("key") is None
+        for _ in range(MIN_TRUSTED_SAMPLES - 1):
+            store.observe("key", 3e9)
+        assert store.samples("key") == MIN_TRUSTED_SAMPLES
+        assert store.throughput("key") == pytest.approx(3e9)
+
+    def test_untrusted_samples_survive_a_restart(self, tmp_path):
+        path = str(tmp_path / "c.json")
+        CalibrationStore(path).observe("key", 1e8)
+        CalibrationStore(path).observe("key", 3e9)
+        store = CalibrationStore(path)
+        assert store.throughput("key") is None
+        store.observe("key", 2e9)
+        assert store.throughput("key") == pytest.approx(2e9)  # the median
+
+    def test_old_format_store_still_parses(self, tmp_path):
+        # Stores written before the trust threshold have no "first"
+        # field; a well-warmed bucket is trusted as is, and a young one
+        # counts its EWMA as its observations so far.
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"version": 1, "entries": {
+            "warm": {"bytes_per_second": 5e9, "samples": 7},
+            "young": {"bytes_per_second": 1e9, "samples": 2},
+        }}))
+        store = CalibrationStore(str(path))
+        assert store.throughput("warm") == pytest.approx(5e9)
+        assert store.throughput("young") is None
+        store.observe("young", 4e9)
+        assert store.samples("young") == 3
+        assert store.throughput("young") == pytest.approx(1e9)
+
+    def test_corrupt_first_field_drops_only_that_bucket(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"version": 1, "entries": {
+            "bad": {"bytes_per_second": 1e9, "samples": 1, "first": 5},
+            "good": {"bytes_per_second": 2e9, "samples": 4},
+        }}))
+        store = CalibrationStore(str(path))
+        assert store.samples("bad") == 0
+        assert store.throughput("good") == pytest.approx(2e9)
 
 
 # -- planning decisions ------------------------------------------------------
@@ -193,6 +242,44 @@ class TestPlanScan:
         assert "parallel:8" in labels
         assert plan.chosen.strategy == "threaded"  # model: slabs win at 64 MiB
 
+    def test_two_cores_pick_threads_for_order1_and_serial_for_fused(self):
+        # Cold cache: reduce-then-scan is priced at (3P-1)/P·n words, so
+        # two slabs beat the serial kernel for a large order-1 scan; the
+        # fused single pass has no threaded arm at all.
+        machine = fake_machine(cpu_count=2)
+        big = 1 << 30
+        plan = plan_scan(Workload(nbytes=big, dtype="int64"), machine=machine)
+        assert plan.chosen.label == "threaded:2"
+        fused = Workload(nbytes=big, dtype="int64", order=3, tuple_size=4)
+        assert fused.fused and fused.scan_passes == 1
+        plan = plan_scan(fused, machine=machine)
+        assert plan.chosen.strategy == "serial"
+        assert not any(c.strategy == "threaded" for c in plan.candidates)
+        on_disk = Workload(nbytes=big, dtype="int64", order=3, tuple_size=4,
+                           source="file")
+        plan = plan_scan(on_disk, machine=machine)
+        assert not any(
+            c.strategy == "stream_threaded" for c in plan.candidates
+        )
+
+    def test_pinned_to_one_cpu_offers_no_parallel_arm(self, monkeypatch):
+        # taskset/cpuset pinning narrows the affinity mask while
+        # os.cpu_count() still reports every core on the host.
+        from repro.kernels import resolve_threads, usable_cpus
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        _reset_machine_memo()
+        assert usable_cpus() == 1
+        assert resolve_threads("auto") == 1
+        assert resolve_threads(None, 1 << 30) == 1
+        for source in ("memory", "file"):
+            w = Workload(nbytes=256 << 20, dtype="int64", source=source)
+            plan = plan_scan(w)
+            assert plan.machine.cpu_count == 1
+            assert {c.strategy for c in plan.candidates} <= {"serial", "stream"}
+
     def test_floats_and_looped_ops_only_get_serial(self):
         for w in (
             Workload(nbytes=64 << 20, dtype="float64"),
@@ -219,7 +306,6 @@ class TestPlanScan:
         plan = plan_scan(w, machine=fake_machine(cpu_count=8))
         assert plan.chosen.strategy == "serial"
         assert "REPRO_PLAN_DISABLE" in plan.reason
-        assert session_threads("int64") is None
 
     def test_tune_disable_still_plans_on_static_heuristics(self, monkeypatch):
         monkeypatch.setenv("REPRO_TUNE_DISABLE", "1")
@@ -236,7 +322,8 @@ class TestPlanScan:
         store = get_store()
         first = plan_scan(w, machine=machine, store=store)
         assert not first.cache_hit
-        assert first.observe(seconds=0.004)
+        for _ in range(MIN_TRUSTED_SAMPLES):
+            assert first.observe(seconds=0.004)
         second = plan_scan(w, machine=machine, store=store)
         assert second.cache_hit
         assert second.chosen.throughput_source == "measured"
@@ -251,7 +338,8 @@ class TestPlanScan:
         w = Workload(nbytes=64 << 20, dtype="int64", source="file")
         machine = fake_machine(cpu_count=4)
         store = get_store()
-        store.observe(w.calibration_key("stream"), 1e8)  # slow disk
+        for _ in range(MIN_TRUSTED_SAMPLES):
+            store.observe(w.calibration_key("stream"), 1e8)  # slow disk
         plan = plan_scan(w, machine=machine, store=store)
         stream = next(c for c in plan.candidates if c.strategy == "stream")
         sharded = next(c for c in plan.candidates if c.strategy == "sharded")
@@ -401,9 +489,10 @@ class TestScanFilePlanned:
         values = make_int_array(rng, 100_000, dtype=np.int32)
         src, dst = tmp_path / "in.bin", tmp_path / "out.bin"
         values.tofile(src)
-        repro.scan_file(str(src), str(dst), dtype="int32")
+        for _ in range(MIN_TRUSTED_SAMPLES):
+            repro.scan_file(str(src), str(dst), dtype="int32")
         plan = plan_file_scan(str(src), "int32")
-        assert plan.cache_hit  # the first run's throughput was recorded
+        assert plan.cache_hit  # the runs' throughput was recorded
 
     def test_resume_pins_driver_family_to_the_checkpoint(self, tmp_path, rng):
         from repro.api import _pinned_resume_strategy
@@ -439,18 +528,10 @@ class TestScanFilePlanned:
         )
 
 
-# -- session threads + counters ----------------------------------------------
+# -- session + counters ----------------------------------------------
 
 
 class TestSessionAndCounters:
-    def test_session_threads_needs_cores_and_safe_config(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        _reset_machine_memo()
-        assert session_threads("int64", "add") == "auto"
-        assert session_threads("float64", "add") is None
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        assert session_threads("int64", "add") is None
-
     def test_stream_counters_roundtrip_planner_fields(self):
         c = StreamCounters(
             planner_cache_hits=2, planner_cache_misses=1,

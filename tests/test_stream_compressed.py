@@ -25,7 +25,7 @@ from repro.compression import BlockedDeltaCodec
 from repro.compression.stream import BlockedFileReader, read_index
 from repro.core.host import host_prefix_sum
 from repro.plan import plan_file_scan
-from repro.plan.calibration import CalibrationStore
+from repro.plan.calibration import MIN_TRUSTED_SAMPLES, CalibrationStore
 from repro.stream import (
     CheckpointMismatchError,
     InjectedFailureError,
@@ -432,8 +432,9 @@ class TestCalibrationConcurrentWriters:
         # read-modify-write race.
         assert a.throughput("bucket-a") is None
         assert b.throughput("bucket-b") is None
-        a.observe("bucket-a", 1e9)
-        b.observe("bucket-b", 2e9)
+        for _ in range(MIN_TRUSTED_SAMPLES):
+            a.observe("bucket-a", 1e9)
+            b.observe("bucket-b", 2e9)
         fresh = CalibrationStore(path)
         assert fresh.throughput("bucket-a") == pytest.approx(1e9)
         assert fresh.throughput("bucket-b") == pytest.approx(2e9)

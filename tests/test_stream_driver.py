@@ -354,13 +354,24 @@ class TestThreadedAndAdaptive:
         values = make_int_array(rng, 60_000, dtype=np.int64)
         raw = write_input(tmp_path, values)
         out = tmp_path / "out.bin"
+        # Pass-per-order chunk scans (max is outside the fused gate) run
+        # on the slab threads ...
+        result = scan_file(
+            raw, out, dtype="int64", op="max", order=2, tuple_size=3,
+            chunk_bytes=1 << 16, threads=4,
+        )
+        expected = host_prefix_sum(values, order=2, tuple_size=3, op="max")
+        assert np.array_equal(np.fromfile(out, dtype=np.int64), expected)
+        assert result.counters.threaded_scans > 0
+        # ... while fused order-q feeds keep the serial single pass.
         result = scan_file(
             raw, out, dtype="int64", order=2, tuple_size=3,
             chunk_bytes=1 << 16, threads=4,
         )
         expected = host_prefix_sum(values, order=2, tuple_size=3)
         assert np.array_equal(np.fromfile(out, dtype=np.int64), expected)
-        assert result.counters.threaded_scans > 0
+        assert result.counters.threaded_scans == 0
+        assert result.counters.fused_order_scans > 0
 
     def test_adaptive_chunks_off_by_default(self, tmp_path, rng):
         values = make_int_array(rng, 50_000)

@@ -469,7 +469,9 @@ def run_fused_order(config, rng) -> bool:
     2..8) run through every surface that owns a fused tile path —
     one-shot :func:`repro.kernels.scan_into`, a ``LaneKernel(order=q)``
     fed at random split points (mid-tile carry-matrix continuation),
-    slab threads, a ``ScanSession`` split feed, the sharded file driver
+    the threaded engine and a ``ThreadedLaneKernel`` (both route fused
+    requests to the serial fused pass), a ``ScanSession`` split feed,
+    the sharded file driver
     with random shard/worker counts, and the serve layer's
     ``feed_batch`` over three staggered streams (mixing fused batches
     with short-chunk fallback rounds).  All must agree *bit for bit*
@@ -479,7 +481,12 @@ def run_fused_order(config, rng) -> bool:
     import os
     import tempfile
 
-    from repro.kernels import LaneKernel, ThreadedScan, scan_into
+    from repro.kernels import (
+        LaneKernel,
+        ThreadedLaneKernel,
+        ThreadedScan,
+        scan_into,
+    )
     from repro.ops import get_op
     from repro.serve.batch import feed_batch
     from repro.stream import ScanSession, scan_file_sharded
@@ -513,18 +520,24 @@ def run_fused_order(config, rng) -> bool:
     expected_inc = expected if inclusive else prefix_sum_serial(
         values, order=q, tuple_size=s, op="add", inclusive=True
     )
-    kernel = LaneKernel("add", dtype, tuple_size=s, order=q)
     split = np.random.default_rng(config["split_seed"])
-    parts, pos = [], 0
-    while pos < n:
-        step = int(split.integers(1, max(2, n // 3 + 1)))
-        parts.append(np.asarray(kernel.feed(values[pos : pos + step].copy())).copy())
-        pos += step
-    stitched = np.concatenate(parts) if parts else values[:0]
-    if not np.array_equal(stitched, expected_inc):
-        return False
+    for kernel in (
+        LaneKernel("add", dtype, tuple_size=s, order=q),
+        ThreadedLaneKernel("add", dtype, tuple_size=s, order=q, exact=False,
+                           threads=config["slab_threads"], cutover_bytes=0),
+    ):
+        parts, pos = [], 0
+        while pos < n:
+            step = int(split.integers(1, max(2, n // 3 + 1)))
+            chunk = values[pos : pos + step].copy()
+            parts.append(np.asarray(kernel.feed(chunk)).copy())
+            pos += step
+        stitched = np.concatenate(parts) if parts else values[:0]
+        if not np.array_equal(stitched, expected_inc):
+            return False
 
-    # Slab threads (cutover forced off so fuzz sizes actually split).
+    # The threaded engine (cutover forced off): fused requests take the
+    # serial single pass, never a slab split.
     engine = ThreadedScan(threads=config["slab_threads"], cutover_bytes=0)
     out = engine.run(values, order=q, tuple_size=s, op="add",
                      inclusive=inclusive).values
